@@ -24,7 +24,6 @@ import (
 	"flattree/internal/experiments"
 	"flattree/internal/fattree"
 	"flattree/internal/faults"
-	"flattree/internal/flowsim"
 	"flattree/internal/graph"
 	"flattree/internal/jellyfish"
 	"flattree/internal/mcf"
@@ -425,15 +424,11 @@ func BenchmarkAblationRouting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mcfComms := traffic.BroadcastCommodities(clusters, 1000)
-	fsComms := make([]flowsim.Commodity, len(mcfComms))
-	for i, c := range mcfComms {
-		fsComms[i] = flowsim.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand}
-	}
+	comms := traffic.BroadcastCommodities(clusters, 1000)
 	b.Run("optimal", func(b *testing.B) {
 		var res mcf.Result
 		for i := 0; i < b.N; i++ {
-			res, err = mcf.MaxConcurrentFlow(context.Background(), nw, mcfComms, mcf.Options{Epsilon: 0.1})
+			res, err = mcf.MaxConcurrentFlow(context.Background(), nw, comms, mcf.Options{Epsilon: 0.1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -442,9 +437,9 @@ func BenchmarkAblationRouting(b *testing.B) {
 	})
 	for _, kk := range []int{4, 8} {
 		b.Run(fmt.Sprintf("ksp%d", kk), func(b *testing.B) {
-			var res flowsim.Result
+			var res dynsim.MaxMinResult
 			for i := 0; i < b.N; i++ {
-				res, err = flowsim.MaxMin(nw, routing.NewKSP(nw, kk), fsComms)
+				res, err = dynsim.MaxMin(nw, routing.NewKSP(nw, kk), comms)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -453,9 +448,9 @@ func BenchmarkAblationRouting(b *testing.B) {
 		})
 	}
 	b.Run("ecmp", func(b *testing.B) {
-		var res flowsim.Result
+		var res dynsim.MaxMinResult
 		for i := 0; i < b.N; i++ {
-			res, err = flowsim.MaxMin(nw, routing.NewECMP(nw, 32), fsComms)
+			res, err = dynsim.MaxMin(nw, routing.NewECMP(nw, 32), comms)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -80,7 +80,6 @@ func main() {
 		convFrac   = flag.Float64("convfrac", 0, "faultsrecovery: fraction of converter blocks that die (pinning their links)")
 
 		solveBudget = flag.Duration("solvebudget", 0, "wall-clock budget per MCF solve; budget-limited cells carry a trailing ~ (0 = unbounded)")
-		ssspKern    = flag.String("sssp", "auto", "shortest-path kernel inside MCF solves: auto|heap|delta (identical output, different speed)")
 		failFrac    = flag.Float64("failfrac", 0.25, "selfheal: fraction of pod agents killed mid-run")
 		batch       = flag.Int("batch", 1, "selfheal/soak: pods re-aimed per dark window")
 
@@ -168,11 +167,6 @@ func main() {
 	if err != nil {
 		badFlag("%v", err)
 	}
-	kern, ok := mcf.ParseSSSPKernel(*ssspKern)
-	if !ok {
-		badFlag("-sssp %q is not auto, heap, or delta", *ssspKern)
-	}
-	cfg.SSSP = kern
 
 	// Ctrl-C / SIGTERM and -timeout cancel the experiment context; drivers
 	// stop handing out cells promptly and return the context's error.

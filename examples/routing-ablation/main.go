@@ -14,7 +14,7 @@ import (
 	"log"
 
 	"flattree/internal/core"
-	"flattree/internal/flowsim"
+	"flattree/internal/dynsim"
 	"flattree/internal/mcf"
 	"flattree/internal/routing"
 	"flattree/internal/traffic"
@@ -53,11 +53,7 @@ func main() {
 			routing.NewKSP(nw, 4),
 		}
 		for _, s := range schemes {
-			fsComms := make([]flowsim.Commodity, len(comms))
-			for i, c := range comms {
-				fsComms[i] = flowsim.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand}
-			}
-			res, err := flowsim.MaxMin(nw, s, fsComms)
+			res, err := dynsim.MaxMin(nw, s, comms)
 			if err != nil {
 				log.Fatal(err)
 			}

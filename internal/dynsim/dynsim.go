@@ -1,14 +1,19 @@
-// Package dynsim is an event-driven fluid (flow-level) network simulator:
-// flows arrive over time, each is pinned to a path chosen from a
-// routing.Scheme's candidates, active flows share switch-switch links by
-// progressive-filling max-min fairness, and the simulator advances from
-// event to event (arrival or completion), re-solving rates at each one.
+// Package dynsim is a fluid (flow-level) network simulator built on one
+// progressive-filling max-min allocator, with two entry points.
 //
-// It complements the static LP throughput of internal/mcf with the dynamic
+// Simulate is event-driven: flows arrive over time, each is pinned to a
+// path chosen from a routing.Scheme's candidates, active flows share
+// switch-switch links max-min fairly, and the simulator advances from event
+// to event (arrival or completion), re-solving rates at each one. It
+// complements the static LP throughput of internal/mcf with the dynamic
 // metric operators actually watch — flow completion time — and gives the
 // §2.6 controller's "adaptive manner through network measurement" something
 // concrete to measure: the adaptive example converts the topology when the
 // measured FCT of the current mode falls behind.
+//
+// MaxMin is the static case: every commodity is split over all of its
+// candidate paths at once, giving the max-min throughput of a practical
+// routing scheme to set against the optimal-routing λ of internal/mcf.
 package dynsim
 
 import (
@@ -51,7 +56,6 @@ type Result struct {
 }
 
 type activeFlow struct {
-	id        int
 	remaining float64
 	links     []int32
 	rate      float64
@@ -71,10 +75,10 @@ type activeFlow struct {
 // 4096); when it is hit, the simulation returns an error, which is a
 // finding about the offered load rather than a simulator limit.
 //
-// Cancelling ctx aborts the event loop between events and returns the
-// partial Result accumulated so far (finalized over the flows that did
-// complete) together with the context's error, so a SIGINT mid-sweep still
-// yields usable partial data.
+// Every error return carries the partial Result accumulated so far,
+// finalized over the flows that did complete, with Unfinished counting the
+// flows still active. Cancelling ctx aborts the event loop between events
+// the same way, so a SIGINT mid-sweep still yields usable partial data.
 func Simulate(ctx context.Context, nw *topo.Network, scheme routing.Scheme, arrivals []Arrival, maxConcurrent int) (Result, error) {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 4096
@@ -82,139 +86,28 @@ func Simulate(ctx context.Context, nw *topo.Network, scheme routing.Scheme, arri
 	sorted := append([]Arrival(nil), arrivals...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 
-	// Link index over switch-switch links (parallel links pool capacity).
-	type pair struct{ a, b int32 }
-	linkIdx := make(map[pair]int32)
-	var capacity []float64
-	for _, l := range nw.Links {
-		if !nw.Nodes[l.A].Kind.IsSwitch() || !nw.Nodes[l.B].Kind.IsSwitch() {
-			continue
-		}
-		a, b := int32(l.A), int32(l.B)
-		if a > b {
-			a, b = b, a
-		}
-		if li, ok := linkIdx[pair{a, b}]; ok {
-			capacity[li]++
-			continue
-		}
-		linkIdx[pair{a, b}] = int32(len(capacity))
-		capacity = append(capacity, 1)
-	}
-	activeOnLink := make([]int, len(capacity))
-
-	hostOf := func(v int) (int, error) {
-		if v < 0 || v >= nw.N() {
-			return 0, fmt.Errorf("dynsim: node %d out of range", v)
-		}
-		if nw.Nodes[v].Kind.IsSwitch() {
-			return v, nil
-		}
-		h := nw.HostSwitch(v)
-		if h < 0 {
-			return 0, fmt.Errorf("dynsim: server %d detached", v)
-		}
-		return h, nil
-	}
-
-	pathCache := make(map[pair][][]int32)
-	pathsFor := func(s, d int) ([][]int32, error) {
-		key := pair{int32(s), int32(d)}
-		if ps, ok := pathCache[key]; ok {
-			return ps, nil
-		}
-		cand, err := scheme.Paths(s, d)
-		if err != nil {
-			return nil, err
-		}
-		var out [][]int32
-		for _, p := range cand {
-			var links []int32
-			ok := true
-			for i := 0; i+1 < len(p.Nodes); i++ {
-				a, b := p.Nodes[i], p.Nodes[i+1]
-				if a > b {
-					a, b = b, a
-				}
-				li, found := linkIdx[pair{a, b}]
-				if !found {
-					ok = false
-					break
-				}
-				links = append(links, li)
-			}
-			if ok {
-				out = append(out, links)
-			}
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("dynsim: no usable path %d->%d", s, d)
-		}
-		pathCache[key] = out
-		return out, nil
-	}
-
+	fl := newFluid(nw, scheme)
 	var (
 		active []*activeFlow
 		res    Result
 		now    float64
-		nextID int
+		flows  [][]int32
+		rates  []float64
 	)
 
 	// recompute assigns max-min fair rates to all active flows.
 	recompute := func() {
-		for i := range activeOnLink {
-			activeOnLink[i] = 0
-		}
+		flows = flows[:0]
 		for _, f := range active {
-			f.rate = 0
-			for _, li := range f.links {
-				activeOnLink[li]++
-			}
+			flows = append(flows, f.links)
 		}
-		used := make([]float64, len(capacity))
-		unfrozen := append([]int(nil), activeOnLink...)
-		frozen := make(map[int]bool, len(active))
-		level := 0.0
-		for len(frozen) < len(active) {
-			best := math.Inf(1)
-			for li := range capacity {
-				if unfrozen[li] == 0 {
-					continue
-				}
-				if inc := (capacity[li] - used[li]) / float64(unfrozen[li]); inc < best {
-					best = inc
-				}
-			}
-			if math.IsInf(best, 1) {
-				// Remaining flows traverse no capacitated link.
-				for _, f := range active {
-					if !frozen[f.id] {
-						f.rate = math.Inf(1)
-						frozen[f.id] = true
-					}
-				}
-				break
-			}
-			level += best
-			for li := range capacity {
-				used[li] += best * float64(unfrozen[li])
-			}
-			for _, f := range active {
-				if frozen[f.id] {
-					continue
-				}
-				for _, li := range f.links {
-					if capacity[li]-used[li] <= 1e-12 {
-						f.rate = level
-						frozen[f.id] = true
-						for _, l2 := range f.links {
-							unfrozen[l2]--
-						}
-						break
-					}
-				}
-			}
+		if cap(rates) < len(flows) {
+			rates = make([]float64, len(flows))
+		}
+		rates = rates[:len(flows)]
+		fl.fill(flows, rates)
+		for i, f := range active {
+			f.rate = rates[i]
 		}
 	}
 
@@ -257,72 +150,74 @@ func Simulate(ctx context.Context, nw *topo.Network, scheme routing.Scheme, arri
 		return t
 	}
 
+	// run is the event loop; every exit, error or not, is finalized below.
 	ai := 0
-	for ai < len(sorted) || len(active) > 0 {
-		if err := ctx.Err(); err != nil {
-			res.Unfinished = len(active)
-			finalize(&res)
-			return res, fmt.Errorf("dynsim: %w with %d flows active", err, len(active))
-		}
-		res.Events++
-		if res.Events > 200*len(sorted)+1000 {
-			res.Unfinished = len(active)
-			return res, fmt.Errorf("dynsim: event budget exhausted with %d flows active (offered load exceeds capacity?)", len(active))
-		}
-		tc := nextCompletion()
-		if ai < len(sorted) && sorted[ai].Time <= tc {
-			arr := sorted[ai]
-			ai++
-			advance(math.Max(arr.Time, now))
-			s, err := hostOf(arr.Src)
-			if err != nil {
-				return res, err
+	run := func() error {
+		for ai < len(sorted) || len(active) > 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("dynsim: %w with %d flows active", err, len(active))
 			}
-			d, err := hostOf(arr.Dst)
-			if err != nil {
-				return res, err
+			res.Events++
+			if res.Events > 200*len(sorted)+1000 {
+				return fmt.Errorf("dynsim: event budget exhausted with %d flows active (offered load exceeds capacity?)", len(active))
 			}
-			if s == d {
-				// Same-switch flow: completes instantly at fluid scale.
-				res.Completed = append(res.Completed, FlowRecord{Arrival: arr, Finish: now})
+			tc := nextCompletion()
+			if ai < len(sorted) && sorted[ai].Time <= tc {
+				arr := sorted[ai]
+				ai++
+				advance(math.Max(arr.Time, now))
+				s, err := fl.hostOf(arr.Src)
+				if err != nil {
+					return err
+				}
+				d, err := fl.hostOf(arr.Dst)
+				if err != nil {
+					return err
+				}
+				if s == d {
+					// Same-switch flow: completes instantly at fluid scale.
+					res.Completed = append(res.Completed, FlowRecord{Arrival: arr, Finish: now})
+					continue
+				}
+				paths, err := fl.pathsFor(s, d)
+				if err != nil {
+					return err
+				}
+				// Least-loaded candidate by active flow count at the last
+				// recompute.
+				bestPath, bestLoad := 0, math.Inf(1)
+				for pi, links := range paths {
+					load := 0.0
+					for _, li := range links {
+						load += float64(len(fl.onLink[li]))
+					}
+					load /= float64(len(links))
+					if load < bestLoad {
+						bestLoad, bestPath = load, pi
+					}
+				}
+				if len(active) >= maxConcurrent {
+					return fmt.Errorf("dynsim: %d concurrent flows exceeds limit %d", len(active)+1, maxConcurrent)
+				}
+				active = append(active, &activeFlow{remaining: arr.Size, links: paths[bestPath], arr: arr})
+				recompute()
 				continue
 			}
-			paths, err := pathsFor(s, d)
-			if err != nil {
-				return res, err
+			if math.IsInf(tc, 1) {
+				return nil
 			}
-			// Least-loaded candidate by current active flow count.
-			bestPath, bestLoad := 0, math.Inf(1)
-			for pi, links := range paths {
-				load := 0.0
-				for _, li := range links {
-					load += float64(activeOnLink[li])
-				}
-				load /= float64(len(links))
-				if load < bestLoad {
-					bestLoad, bestPath = load, pi
-				}
-			}
-			if len(active) >= maxConcurrent {
-				res.Unfinished = len(active)
-				return res, fmt.Errorf("dynsim: %d concurrent flows exceeds limit %d", len(active)+1, maxConcurrent)
-			}
-			active = append(active, &activeFlow{
-				id: nextID, remaining: arr.Size, links: paths[bestPath], arr: arr,
-			})
-			nextID++
+			advance(tc)
 			recompute()
-			continue
 		}
-		if math.IsInf(tc, 1) {
-			break
-		}
-		advance(tc)
-		recompute()
+		return nil
 	}
 
+	err := run()
+	if err != nil {
+		res.Unfinished = len(active)
+	}
 	finalize(&res)
-	return res, nil
+	return res, err
 }
 
 func finalize(res *Result) {

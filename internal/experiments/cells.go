@@ -18,7 +18,7 @@ import (
 // finished table.
 //
 // The spec carries only result-identity inputs; execution knobs
-// (parallelism, solve budgets, SSSP kernel) live on Config and never change
+// (parallelism, solve budgets) live on Config and never change
 // the bytes a cell prints.
 type CellSpec struct {
 	// Experiment is one of CellExperiments().

@@ -21,7 +21,6 @@ import (
 	"flattree/internal/core"
 	"flattree/internal/fattree"
 	"flattree/internal/jellyfish"
-	"flattree/internal/mcf"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
 	"flattree/internal/twostage"
@@ -55,12 +54,6 @@ type Config struct {
 	// hits the budget depends on machine speed, so "~" markers — and the
 	// slightly lower λ of a truncated solve — can differ between runs.
 	SolveBudget time.Duration
-	// SSSP selects the shortest-path kernel inside every MCF solve (see
-	// mcf.Options.SSSP); the zero value picks the delta-stepping bucket
-	// queue with a per-call heap fallback. Both kernels settle nodes in
-	// the same (dist, id) order, so tables are byte-identical across
-	// settings — the knob only trades time.
-	SSSP mcf.SSSPKernel
 }
 
 // trials returns the effective number of randomized runs: Trials when

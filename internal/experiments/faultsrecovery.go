@@ -101,7 +101,7 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 				return conn, apl, 0, finite, false, nil
 			}
 			res, err := solver.Solve(ctx, nw, comms, mcf.Options{
-				Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget, SSSP: cfg.SSSP})
+				Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
 			if err != nil {
 				return 0, 0, 0, false, false, err
 			}

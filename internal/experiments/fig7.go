@@ -17,7 +17,7 @@ import (
 // solve maximum concurrent flow on the caller's Solver (which carries the
 // aggregated problem, arena, and warm-start state across a sweep's solves).
 func throughput(ctx context.Context, s *mcf.Solver, nw *topo.Network, serverIDs []int, clusterSize int, placement traffic.Placement,
-	pattern func([]traffic.Cluster) []mcf.Commodity, seed uint64, epsilon float64, budget time.Duration, kern mcf.SSSPKernel) (mcf.Result, error) {
+	pattern func([]traffic.Cluster) []mcf.Commodity, seed uint64, epsilon float64, budget time.Duration) (mcf.Result, error) {
 	clusters, err := traffic.MakeClusters(nw, serverIDs, traffic.Spec{
 		ClusterSize: clusterSize,
 		Placement:   placement,
@@ -26,7 +26,7 @@ func throughput(ctx context.Context, s *mcf.Solver, nw *topo.Network, serverIDs 
 	if err != nil {
 		return mcf.Result{}, err
 	}
-	return s.Solve(ctx, nw, pattern(clusters), mcf.Options{Epsilon: epsilon, TimeBudget: budget, SSSP: kern})
+	return s.Solve(ctx, nw, pattern(clusters), mcf.Options{Epsilon: epsilon, TimeBudget: budget})
 }
 
 // BroadcastClusterSize is the paper's hot-spot cluster size (§3.3).
@@ -100,7 +100,7 @@ func (fs figSpec) columnTrial(ctx context.Context, cfg Config, suites []*suite, 
 	for ki := range suites {
 		nw := fs.netsOf(suites[ki])[ci/numPl]
 		res, err := throughput(ctx, s, nw, serverIDsOf(nw), fs.clusterSize, fs.placements[ci%numPl],
-			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon, cfg.SolveBudget, cfg.SSSP)
+			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon, cfg.SolveBudget)
 		if err != nil {
 			return nil, fmt.Errorf("%s k=%d net=%d trial=%d: %w", fs.fig, suites[ki].k, ci/numPl, tr, err)
 		}

@@ -115,7 +115,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 			comms := componentCommodities(nw, seeds.Seed(1<<32|uint64(tr)))
 			if len(comms) > 0 {
 				res, err := s.Solve(ctx, nw, comms, mcf.Options{
-					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget, SSSP: cfg.SSSP})
+					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
 				if err != nil {
 					return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
 				}

@@ -171,7 +171,7 @@ func runGlobalrand(pc *pkgChecker) {
 //	layer 1: converter, graph, lp, flatlint, store (leaf utilities)
 //	layer 2: topo                             (labeled topology model)
 //	layer 3: core, fattree, faults, jellyfish, mcf, metrics, routing
-//	layer 4: dynsim, flowsim, pktsim, traffic, twostage (simulators)
+//	layer 4: dynsim, pktsim, traffic, twostage (simulators)
 //	layer 5: ctrl                             (control plane)
 //	layer 6: chaos                            (soak engine; drives ctrl plants)
 //	layer 7: experiments                      (drivers; may stand up ctrl plants)
@@ -199,7 +199,6 @@ var layerOf = map[string]int{
 	"internal/metrics":     3,
 	"internal/routing":     3,
 	"internal/dynsim":      4,
-	"internal/flowsim":     4,
 	"internal/pktsim":      4,
 	"internal/traffic":     4,
 	"internal/twostage":    4,

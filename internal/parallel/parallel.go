@@ -106,12 +106,13 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 		wg      sync.WaitGroup
 	)
 	record := func(i int, err error) {
+		// Stop the other workers before contending for the lock.
+		stopped.Store(true)
 		mu.Lock()
 		if firstE == nil || i < errIdx {
 			firstE, errIdx = err, i
 		}
 		mu.Unlock()
-		stopped.Store(true)
 	}
 	done := ctx.Done()
 	wg.Add(workers)

@@ -99,6 +99,10 @@ func TestForEachParallelErrorCancels(t *testing.T) {
 		if i == 5 {
 			return fmt.Errorf("cell %d failed", i)
 		}
+		// Give every other cell some work, as real cells have: with empty
+		// cells the other workers can drain the whole range while the
+		// failing worker is descheduled between returning and cancelling.
+		time.Sleep(50 * time.Microsecond)
 		return nil
 	})
 	if err == nil {

@@ -28,7 +28,7 @@ type cellRequest struct {
 // JSON with a fixed field set — struct order makes the encoding canonical —
 // and hashed to the store key. Every field either changes the bytes a cell
 // prints or versions the code that prints them; execution knobs
-// (parallelism, SSSP kernel, timeouts, solve budgets) are deliberately
+// (parallelism, timeouts, solve budgets) are deliberately
 // absent. Bump the "v" constant in newAddress when cell bytes change
 // meaning without any field changing.
 type address struct {
